@@ -16,6 +16,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The benchmark (perfbench/) is a nested module, so the root ./...
+# patterns never build it; vet and self-test it against the current
+# tree so an API change it depends on fails here, not at bench time.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Benchmark smoke: compile and run every benchmark once so a bench
 # that rots (bad setup, panic, API drift) fails the gate, without
 # paying for real measurement iterations.

@@ -247,14 +247,25 @@ func (f *Forest) Search(q []float32, k int) []topk.Result {
 
 // SearchStats is Search plus work accounting.
 func (f *Forest) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+	return f.searchStats(q, k, f.Checks)
+}
+
+// SearchChecks is Search with an explicit checks budget, leaving
+// f.Checks untouched — safe to retarget concurrently with other queries.
+func (f *Forest) SearchChecks(q []float32, k, checks int) []topk.Result {
+	res, _ := f.searchStats(q, k, checks)
+	return res
+}
+
+func (f *Forest) searchStats(q []float32, k, checks int) ([]topk.Result, Stats) {
 	sel := topk.New(k)
 	var st Stats
-	visited := make(map[int32]struct{}, f.Checks*2)
+	visited := make(map[int32]struct{}, checks*2)
 	var h branchHeap
 	for t := range f.trees {
 		f.descend(t, 0, q, sel, &h, visited, &st)
 	}
-	for len(h) > 0 && st.DistEvals < f.Checks {
+	for len(h) > 0 && st.DistEvals < checks {
 		e := heap.Pop(&h).(branchEntry)
 		st.HeapOps++
 		if b, ok := sel.Bound(); ok && e.bound >= b {

@@ -259,11 +259,22 @@ func (t *Tree) Search(q []float32, k int) []topk.Result {
 
 // SearchStats is Search plus work accounting.
 func (t *Tree) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+	return t.searchStats(q, k, t.Checks)
+}
+
+// SearchChecks is Search with an explicit checks budget, leaving
+// t.Checks untouched — safe to retarget concurrently with other queries.
+func (t *Tree) SearchChecks(q []float32, k, checks int) []topk.Result {
+	res, _ := t.searchStats(q, k, checks)
+	return res
+}
+
+func (t *Tree) searchStats(q []float32, k, checks int) ([]topk.Result, Stats) {
 	sel := topk.New(k)
 	var st Stats
 	var h branchHeap
 	t.descend(0, q, sel, &h, &st)
-	for len(h) > 0 && st.DistEvals < t.Checks {
+	for len(h) > 0 && st.DistEvals < checks {
 		e := heap.Pop(&h).(branchEntry)
 		st.HeapOps++
 		t.descend(e.node, q, sel, &h, &st)

@@ -34,16 +34,10 @@ func NewFixedEngine(data []int32, dim int, metric vec.Metric, vaults int) *Fixed
 		dim:         dim,
 		n:           len(data) / dim,
 		metric:      metric,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 }
-
-// N returns the database size.
-func (e *FixedEngine) N() int { return e.n }
-
-// Vaults returns the intra-query vault count.
-func (e *FixedEngine) Vaults() int { return e.vaults }
 
 // SetSerialThreshold overrides the dataset size below which queries
 // scan serially regardless of the vault count.
@@ -107,13 +101,10 @@ type HammingEngine struct {
 func NewHammingEngine(data []vec.Binary, vaults int) *HammingEngine {
 	return &HammingEngine{
 		data:        data,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 }
-
-// N returns the database size.
-func (e *HammingEngine) N() int { return len(e.data) }
 
 // Vaults returns the intra-query vault count.
 func (e *HammingEngine) Vaults() int { return e.vaults }

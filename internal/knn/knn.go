@@ -10,19 +10,12 @@ package knn
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ssam/internal/obs"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
-
-// Searcher is the interface satisfied by every kNN engine and index in
-// this repository: exact linear engines, kd-tree forests, hierarchical
-// k-means trees, and multi-probe LSH.
-type Searcher interface {
-	// Search returns the k nearest database ids to q, closest first.
-	Search(q []float32, k int) []topk.Result
-}
 
 // Stats records the work performed by a query, the raw material for
 // the Table I instruction-mix characterization. All counters except
@@ -105,7 +98,7 @@ func NewEngineVaults(data []float32, dim int, metric vec.Metric, workers, vaults
 		n:           len(data) / dim,
 		metric:      metric,
 		workers:     workers,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 }
@@ -191,43 +184,38 @@ func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) [][]topk.R
 		}
 		return out
 	}
-	return batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
-		res, _ := e.scanRange(q, k, 0, e.n)
+	return FanOut(len(qs), e.workers, func(i int) []topk.Result {
+		res, _ := e.scanRange(qs[i], k, 0, e.n)
 		return res
 	})
 }
 
-// batch fans queries out over workers goroutines, preserving order.
-func batch(qs [][]float32, k, workers int, search func([]float32, int) []topk.Result) [][]topk.Result {
-	out := make([][]topk.Result, len(qs))
-	if workers <= 1 || len(qs) == 1 {
-		for i, q := range qs {
-			out[i] = search(q, k)
+// FanOut returns fn(0), ..., fn(n-1) in order, computed by up to workers
+// goroutines (workers <= 0 selects GOMAXPROCS). A single item, or a
+// single worker, runs inline on the caller's goroutine.
+func FanOut[T any](n, workers int, fn func(i int) T) []T {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	out := make([]T, n)
+	if workers <= 1 {
+		for i := range out {
+			out[i] = fn(i)
 		}
 		return out
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				out[i] = search(qs[i], k)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				out[i] = fn(i)
 			}
 		}()
 	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

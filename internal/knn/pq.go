@@ -113,7 +113,7 @@ func NewPQEngineVaults(data []float32, dim int, metric vec.Metric, p PQParams, w
 		encodeData:  data,
 		rerank:      p.Rerank,
 		workers:     workers,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 	switch metric {
@@ -225,19 +225,20 @@ func (e *PQEngine) Search(q []float32, k int) []topk.Result {
 
 // SearchStats is Search plus work accounting.
 func (e *PQEngine) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
-	return e.SearchStatsSpan(q, k, nil)
+	return e.SearchStatsSpan(q, k, e.rerank, nil)
 }
 
-// SearchStatsSpan is SearchStats recording one "vault" child span of
-// sp per scanned slab (sp may be nil). Results are bit-identical to a
-// serial scan at any vault count.
-func (e *PQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats) {
-	return e.search(q, k, sp, false)
+// SearchStatsSpan is SearchStats at an explicit re-rank depth (leaving
+// the engine's own untouched, so callers may retarget it per query),
+// recording one "vault" child span of sp per scanned slab (sp may be
+// nil). Results are bit-identical to a serial scan at any vault count.
+func (e *PQEngine) SearchStatsSpan(q []float32, k, rerank int, sp *obs.Span) ([]topk.Result, Stats) {
+	return e.search(q, k, rerank, sp, false)
 }
 
-func (e *PQEngine) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
-	cands, st := e.adcCandidates(q, k, sp, forceSerial)
-	if e.rerank == 0 {
+func (e *PQEngine) search(q []float32, k, rerank int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
+	cands, st := e.adcCandidates(q, k, rerank, sp, forceSerial)
+	if rerank == 0 {
 		return cands, st
 	}
 	// Exact re-rank: re-score every ADC candidate under the true
@@ -265,7 +266,7 @@ func (e *PQEngine) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([
 // retained rows) and the tiered search (re-rank through the out-of-core
 // store): the candidate set depends only on the in-RAM codes, so the
 // two paths diverge strictly after this point.
-func (e *PQEngine) adcCandidates(q []float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
+func (e *PQEngine) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
 	if len(q) != e.dim {
 		panic("knn: query dimension mismatch")
 	}
@@ -283,8 +284,8 @@ func (e *PQEngine) adcCandidates(q []float32, k int, sp *obs.Span, forceSerial b
 
 	// ADC pass: top-R candidates, R = max(k, rerank) when re-ranking.
 	r := k
-	if e.rerank > 0 && e.rerank > k {
-		r = e.rerank
+	if rerank > k {
+		r = rerank
 	}
 	var cands []topk.Result
 	var scanStats Stats
@@ -332,28 +333,22 @@ func (e *PQEngine) scanRange(lut []float32, k, lo, hi int) ([]topk.Result, Stats
 // short batches take the vault-parallel path per query, longer batches
 // fan out across workers with serial scans.
 func (e *PQEngine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
-	return e.SearchBatchSpan(qs, k, nil)
+	return e.SearchBatchSpan(qs, k, e.rerank, nil)
 }
 
-// SearchBatchSpan is SearchBatch recording "vault" child spans of sp
-// for queries that take the vault-parallel path (sp may be nil).
-func (e *PQEngine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) [][]topk.Result {
+// SearchBatchSpan is SearchBatch at an explicit re-rank depth,
+// recording "vault" child spans of sp for queries that take the
+// vault-parallel path (sp may be nil).
+func (e *PQEngine) SearchBatchSpan(qs [][]float32, k, rerank int, sp *obs.Span) [][]topk.Result {
 	if e.vaults > 1 && (len(qs) == 1 || len(qs) < e.workers) {
 		out := make([][]topk.Result, len(qs))
 		for i, q := range qs {
-			out[i], _ = e.search(q, k, sp, false)
+			out[i], _ = e.search(q, k, rerank, sp, false)
 		}
 		return out
 	}
-	return batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
-		res, _ := e.search(q, k, nil, true)
+	return FanOut(len(qs), e.workers, func(i int) []topk.Result {
+		res, _ := e.search(qs[i], k, rerank, nil, true)
 		return res
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -126,15 +126,10 @@ func (e *TieredEngine) scanPage(q []float32, k, v int, sp *obs.Span) ([]topk.Res
 // parallelism, and sequential queries reuse the hot cache instead of
 // thrashing it. On error, results before failedAt are valid and
 // failedAt names the query that failed (-1 on success).
-func (e *TieredEngine) SearchBatch(qs [][]float32, k int) (out [][]topk.Result, failedAt int, err error) {
-	return e.SearchBatchSpan(qs, k, nil)
-}
-
-// SearchBatchSpan is SearchBatch recording "vault" child spans of sp.
-func (e *TieredEngine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, int, error) {
+func (e *TieredEngine) SearchBatch(qs [][]float32, k int) ([][]topk.Result, int, error) {
 	out := make([][]topk.Result, len(qs))
 	for i, q := range qs {
-		res, _, err := e.SearchStatsSpan(q, k, sp)
+		res, _, err := e.SearchStats(q, k)
 		if err != nil {
 			return out, i, err
 		}
@@ -302,25 +297,25 @@ func (e *TieredPQEngine) Store() *tier.Store { return e.store }
 // Search returns the k approximate nearest neighbors of q —
 // bit-identical to PQEngine.Search with the same params and seed.
 func (e *TieredPQEngine) Search(q []float32, k int) ([]topk.Result, error) {
-	res, _, err := e.SearchStatsSpan(q, k, nil)
+	res, _, err := e.SearchStats(q, k)
 	return res, err
 }
 
 // SearchStats is Search plus work accounting.
 func (e *TieredPQEngine) SearchStats(q []float32, k int) ([]topk.Result, Stats, error) {
-	return e.SearchStatsSpan(q, k, nil)
+	return e.SearchStatsSpan(q, k, e.pq.rerank, nil)
 }
 
-// SearchStatsSpan runs the in-RAM ADC scan (recording "vault" child
-// spans like PQEngine), then re-ranks the candidates through the store
-// page by page, each page a "rerank" child span tagged with its cache
-// outcome.
-func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats, error) {
+// SearchStatsSpan is SearchStats at an explicit re-rank depth. It runs
+// the in-RAM ADC scan (recording "vault" child spans like PQEngine),
+// then re-ranks the candidates through the store page by page, each
+// page a "rerank" child span tagged with its cache outcome.
+func (e *TieredPQEngine) SearchStatsSpan(q []float32, k, rerank int, sp *obs.Span) ([]topk.Result, Stats, error) {
 	if len(q) != e.pq.dim {
 		return nil, Stats{}, fmt.Errorf("knn: query dim %d, want %d", len(q), e.pq.dim)
 	}
-	cands, st := e.pq.adcCandidates(q, k, sp, false)
-	if e.pq.rerank == 0 {
+	cands, st := e.pq.adcCandidates(q, k, rerank, sp, false)
+	if rerank == 0 {
 		return cands, st, nil
 	}
 	// Bucket candidates by vault page so each page is pinned exactly
@@ -373,14 +368,9 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 // SearchBatch runs one Search per query sequentially (see
 // TieredEngine.SearchBatch for why). failedAt is -1 on success.
 func (e *TieredPQEngine) SearchBatch(qs [][]float32, k int) ([][]topk.Result, int, error) {
-	return e.SearchBatchSpan(qs, k, nil)
-}
-
-// SearchBatchSpan is SearchBatch recording child spans of sp.
-func (e *TieredPQEngine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, int, error) {
 	out := make([][]topk.Result, len(qs))
 	for i, q := range qs {
-		res, _, err := e.SearchStatsSpan(q, k, sp)
+		res, _, err := e.SearchStats(q, k)
 		if err != nil {
 			return out, i, err
 		}

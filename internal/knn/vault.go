@@ -49,15 +49,11 @@ func DefaultVaults() int {
 	return MaxVaults
 }
 
-// ResolveVaults normalizes a configured vault count the same way the
-// engines do: values <= 0 select DefaultVaults, values above MaxVaults
+// ResolveVaults normalizes a configured vault count the way every
+// engine does: values <= 0 select DefaultVaults, values above MaxVaults
 // clamp to it. Exported so out-of-core stores can be partitioned with
 // exactly the chunking the in-RAM scan would use.
-func ResolveVaults(v int) int { return resolveVaults(v) }
-
-// resolveVaults normalizes a configured vault count: values <= 0
-// select the default, values above MaxVaults clamp to it.
-func resolveVaults(v int) int {
+func ResolveVaults(v int) int {
 	if v <= 0 {
 		return DefaultVaults()
 	}

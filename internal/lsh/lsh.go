@@ -198,6 +198,18 @@ func (x *Index) Search(q []float32, k int) []topk.Result {
 
 // SearchStats is Search plus work accounting.
 func (x *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+	return x.searchStats(q, k, x.Probes)
+}
+
+// SearchProbes is Search with an explicit per-table probe count,
+// leaving x.Probes untouched — safe to retarget concurrently with other
+// queries.
+func (x *Index) SearchProbes(q []float32, k, probes int) []topk.Result {
+	res, _ := x.searchStats(q, k, probes)
+	return res
+}
+
+func (x *Index) searchStats(q []float32, k, probes int) ([]topk.Result, Stats) {
 	sel := topk.New(k)
 	var st Stats
 	seen := make(map[int32]struct{})
@@ -206,9 +218,9 @@ func (x *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 		tb := &x.tables[t]
 		h, _ := hashWithMargins(q, tb.planes, margins)
 		st.HashDims += x.bits * x.dim
-		probes := probeSeq(h, margins, x.Probes)
-		st.ProbeGenOps += len(probes)
-		for _, code := range probes {
+		seq := probeSeq(h, margins, probes)
+		st.ProbeGenOps += len(seq)
+		for _, code := range seq {
 			st.Probes++
 			bucket, ok := tb.buckets[code]
 			if !ok {

@@ -491,30 +491,17 @@ func (s *Store[V]) SearchBatch(qs []V, k int, workers int, sp *obs.Span) [][]top
 	if workers <= 0 {
 		workers = s.opts.Vaults
 	}
-	out := make([][]topk.Result, len(qs))
 	if len(qs) < workers || workers <= 1 {
+		out := make([][]topk.Result, len(qs))
 		for i, q := range qs {
 			out[i], _ = s.searchSnap(snap, q, k, sp, false)
 		}
 		return out
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], _ = s.searchSnap(snap, qs[i], k, nil, true)
-			}
-		}()
-	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
+	return knn.FanOut(len(qs), workers, func(i int) []topk.Result {
+		res, _ := s.searchSnap(snap, qs[i], k, nil, true)
+		return res
+	})
 }
 
 // searchSnap scans one snapshot. forceSerial suppresses vault

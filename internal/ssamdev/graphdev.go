@@ -25,8 +25,8 @@ type GraphIndex struct {
 	g   *graph.Index
 }
 
-// Graph returns the attached host-built index (the EfSearch knob lives
-// there, shared by both execution targets).
+// Graph returns the attached host-built index, whose EfSearch is the
+// beam Search uses (SearchEf takes one per call).
 func (gi *GraphIndex) Graph() *graph.Index { return gi.g }
 
 // AttachGraphIndex attaches a host-built graph to the device. The

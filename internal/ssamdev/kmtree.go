@@ -7,6 +7,7 @@ package ssamdev
 
 import (
 	"fmt"
+	"sync"
 
 	"ssam/internal/asm"
 	"ssam/internal/isa"
@@ -20,6 +21,7 @@ type KMTreeIndex struct {
 	dev       *Device
 	branching int
 	slices    []kmSlice
+	progMu    sync.Mutex // guards progs: a query's PUs fill it in parallel
 	progs     map[progKey][]isa.Inst
 }
 
@@ -77,6 +79,8 @@ func (d *Device) BuildKMTreeIndex(branching, leafSize int, seed int64) (*KMTreeI
 
 func (t *KMTreeIndex) program(checks, centBase int) ([]isa.Inst, error) {
 	key := progKey{checks, centBase}
+	t.progMu.Lock()
+	defer t.progMu.Unlock()
 	if p, ok := t.progs[key]; ok {
 		return p, nil
 	}

@@ -27,8 +27,8 @@ type PQIndex struct {
 	vaultRows []int // database rows laid out in each device vault
 }
 
-// Engine returns the attached host-built engine (the Rerank knob lives
-// there, shared by both execution targets).
+// Engine returns the attached host-built engine, whose Rerank is the
+// depth Search uses (SearchRerank takes one per call).
 func (pi *PQIndex) Engine() *knn.PQEngine { return pi.e }
 
 // AttachPQIndex attaches a host-built product-quantized engine to the
@@ -60,16 +60,22 @@ func (d *Device) AttachPQIndex(e *knn.PQEngine) (*PQIndex, error) {
 	return pi, nil
 }
 
-// Search runs one query through the attached engine and returns the
-// neighbors with modeled device execution stats.
+// Search runs one query through the attached engine at its current
+// re-rank depth and returns the neighbors with modeled device execution
+// stats.
 func (pi *PQIndex) Search(q []float32, k int) ([]topk.Result, QueryStats, error) {
+	return pi.SearchRerank(q, k, pi.e.Rerank())
+}
+
+// SearchRerank is Search with an explicit re-rank depth.
+func (pi *PQIndex) SearchRerank(q []float32, k, rerank int) ([]topk.Result, QueryStats, error) {
 	if len(q) != pi.dev.dim {
 		return nil, QueryStats{}, fmt.Errorf("ssamdev: query dim %d, want %d", len(q), pi.dev.dim)
 	}
 	if k <= 0 {
 		return nil, QueryStats{}, fmt.Errorf("ssamdev: k must be positive")
 	}
-	res, st := pi.e.SearchStats(q, k)
+	res, st := pi.e.SearchStatsSpan(q, k, rerank, nil)
 	return res, pi.model(st), nil
 }
 

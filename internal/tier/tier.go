@@ -168,7 +168,14 @@ func WriteFile(path string, data []float32, dim, vaults int) error {
 	for i, v := range data {
 		binary.LittleEndian.PutUint32(buf[headerSize+i*4:], math.Float32bits(v))
 	}
-	return os.WriteFile(path, buf, 0o644)
+	// Write beside the target and rename over it, so a store still open
+	// on the previous file keeps reading the previous bytes: a rebuild
+	// never shows an in-flight scan a half-written or foreign dataset.
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // Open opens a backing file written by WriteFile.
@@ -371,6 +378,11 @@ func (s *Store) Acquire(v int) (*Page, error) {
 			s.pages[v] = p
 			s.misses.Add(1)
 			data, err := s.readVault(v) // drops the lock around the IO
+			if s.closed {
+				// Closed mid-read: report the close, not whatever the
+				// read of a closing file returned.
+				err = ErrClosed
+			}
 			if err != nil {
 				s.pages[v] = nil
 				close(p.ready)

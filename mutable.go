@@ -7,7 +7,6 @@ import (
 
 	"ssam/internal/mutate"
 	"ssam/internal/obs"
-	"ssam/internal/vec"
 )
 
 // ErrImmutableEngine is returned by Upsert and Delete on regions whose
@@ -29,59 +28,129 @@ type CompactResult = mutate.CompactResult
 // that migrate to the mutable store.
 const DefaultCompactInterval = 200 * time.Millisecond
 
-// regionStore holds the mutable store a Linear region migrates to on
-// its first write — exactly one of f (float metrics) or b (Hamming) is
-// set.
-type regionStore struct {
-	f *mutate.Store[[]float32]
-	b *mutate.Store[vec.Binary]
+// mutableEngine is the engine a Linear region migrates to on its first
+// write: the RCU store adapter.
+type mutableEngine interface {
+	engine
+	upsert(id int, row any) (uint64, error)
+	del(id int) (uint64, bool)
+	compact() CompactResult
+	stats() MutationStats
+	seq() uint64
+	len() int
+	setCompactHook(fn func(CompactResult))
 }
 
-func (ms *regionStore) len() int {
-	if ms.b != nil {
-		return ms.b.Len()
+// mutEngine serves a migrated region from the RCU store (internal/mutate),
+// float and Hamming rows alike; searches never block on writers. On
+// Device execution the store computes the results — the cycle simulator
+// scans a frozen layout — and the module prices the scan analytically:
+// same result bits, modeled cost.
+type mutEngine[V any] struct {
+	base
+	*devState // nil for Host execution
+	s         *mutate.Store[V]
+	workers   int
+}
+
+// newMutEngine seeds s with rows under ids 0..n-1 — exactly the
+// engine's rows under ids equal to row indices, so a query racing the
+// migration answers bit-identically either way — and starts its
+// compactor.
+func newMutEngine[V any](s *mutate.Store[V], rows []V, hook func(CompactResult), dev *devState, workers int) (*mutEngine[V], error) {
+	ids := make([]int, len(rows))
+	for i := range ids {
+		ids[i] = i
 	}
-	return ms.f.Len()
-}
-
-func (ms *regionStore) stats() MutationStats {
-	if ms.b != nil {
-		return ms.b.Stats()
+	if err := s.Seed(ids, rows); err != nil {
+		return nil, err
 	}
-	return ms.f.Stats()
+	s.OnCompact = hook
+	s.StartCompactor(DefaultCompactInterval)
+	return &mutEngine[V]{devState: dev, s: s, workers: workers}, nil
 }
 
-func (ms *regionStore) close() {
-	if ms.b != nil {
-		ms.b.Close()
-	} else {
-		ms.f.Close()
+func (m *mutEngine[V]) execTag() obs.Tag {
+	if m.devState != nil {
+		return execDevice
 	}
+	return execHost
 }
 
-func (ms *regionStore) compactOnce() CompactResult {
-	if ms.b != nil {
-		return ms.b.CompactOnce()
+func (m *mutEngine[V]) search(q []float32, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
+	return m.query(q, k, sp)
+}
+
+func (m *mutEngine[V]) searchBinary(q BinaryCode, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
+	return m.query(q, k, sp)
+}
+
+func (m *mutEngine[V]) query(q any, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
+	v, ok := q.(V)
+	if !ok {
+		return nil, DeviceStats{}, errNoEngine
 	}
-	return ms.f.CompactOnce()
+	esp := sp.Start("exec", m.execTag(), obs.Tag{Key: "mutable", Value: true}, vaultsTag(m.s.Vaults()))
+	res, st := m.s.SearchStatsSpan(v, k, esp)
+	if esp != nil {
+		esp.SetTag("seq", st.Seq)
+		esp.SetTag("live_rows", st.DistEvals)
+	}
+	esp.End()
+	if m.devState == nil {
+		return res, DeviceStats{}, nil
+	}
+	// st.DistEvals is exactly the live rows the device would scan.
+	return res, m.record(toDeviceStats(m.dev.ApproxLinearStats(st.DistEvals))), nil
 }
 
-// mutable returns the region's store if it has migrated to the write
-// path (lock-free; the search fast paths call this per query).
-func (r *Region) mutable() *regionStore { return r.mut.Load() }
+// searchBatch answers every query against one snapshot generation —
+// batch-level consistency under concurrent writes.
+func (m *mutEngine[V]) searchBatch(qs [][]float32, k int, sp *obs.Span) ([][]Result, error) {
+	vs, ok := any(qs).([]V)
+	if !ok {
+		return nil, errNoEngine
+	}
+	live := m.s.Len()
+	esp := sp.Start("exec", m.execTag(), obs.Tag{Key: "mutable", Value: true}, batchTag(qs), vaultsTag(m.s.Vaults()))
+	out := m.s.SearchBatch(vs, k, m.workers, esp)
+	esp.End()
+	if m.devState != nil {
+		per := toDeviceStats(m.dev.ApproxLinearStats(live))
+		var agg DeviceStats
+		for range qs {
+			agg.add(per)
+		}
+		m.record(agg)
+	}
+	return out, nil
+}
+
+func (m *mutEngine[V]) upsert(id int, row any) (uint64, error) { return m.s.Upsert(id, row.(V)) }
+func (m *mutEngine[V]) del(id int) (uint64, bool)              { return m.s.Delete(id) }
+func (m *mutEngine[V]) compact() CompactResult                 { return m.s.CompactOnce() }
+func (m *mutEngine[V]) stats() MutationStats                   { return m.s.Stats() }
+func (m *mutEngine[V]) seq() uint64                            { return m.s.Seq() }
+func (m *mutEngine[V]) len() int                               { return m.s.Len() }
+func (m *mutEngine[V]) setCompactHook(fn func(CompactResult))  { m.s.OnCompact = fn }
+func (m *mutEngine[V]) close()                                 { m.s.Close() }
+
+// mutable returns the region's store adapter if it has migrated to the
+// write path (lock-free).
+func (r *Region) mutable() mutableEngine {
+	m, _ := r.cur.Load().eng.(mutableEngine)
+	return m
+}
 
 // Mutable reports whether the region has taken at least one write and
 // is serving from the mutable store.
-func (r *Region) Mutable() bool { return r.mut.Load() != nil }
+func (r *Region) Mutable() bool { return r.mutable() != nil }
 
 // Seq returns the region's last committed mutation sequence number
 // (zero before the first write).
 func (r *Region) Seq() uint64 {
-	if ms := r.mut.Load(); ms != nil {
-		if ms.b != nil {
-			return ms.b.Seq()
-		}
-		return ms.f.Seq()
+	if m := r.mutable(); m != nil {
+		return m.seq()
 	}
 	return 0
 }
@@ -89,11 +158,10 @@ func (r *Region) Seq() uint64 {
 // MutationStats returns the region's write-path counters; ok is false
 // if the region has never been mutated.
 func (r *Region) MutationStats() (MutationStats, bool) {
-	ms := r.mut.Load()
-	if ms == nil {
-		return MutationStats{}, false
+	if m := r.mutable(); m != nil {
+		return m.stats(), true
 	}
-	return ms.stats(), true
+	return MutationStats{}, false
 }
 
 // SetCompactHook installs fn to run after every compaction pass that
@@ -101,15 +169,11 @@ func (r *Region) MutationStats() (MutationStats, bool) {
 // compaction traces and counters). It applies to the current store and
 // any future migration; fn runs on the compactor goroutine.
 func (r *Region) SetCompactHook(fn func(CompactResult)) {
-	r.mutMu.Lock()
-	defer r.mutMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.onCompact = fn
-	if ms := r.mut.Load(); ms != nil {
-		if ms.b != nil {
-			ms.b.OnCompact = fn
-		} else {
-			ms.f.OnCompact = fn
-		}
+	if m := r.mutable(); m != nil {
+		m.setCompactHook(fn)
 	}
 }
 
@@ -118,14 +182,15 @@ func (r *Region) SetCompactHook(fn func(CompactResult)) {
 // an error on a region that has never been mutated (there is nothing to
 // compact before the first write).
 func (r *Region) CompactNow() (CompactResult, error) {
-	if r.freed {
+	st := r.cur.Load()
+	if st.freed {
 		return CompactResult{}, ErrFreed
 	}
-	ms := r.mut.Load()
-	if ms == nil {
+	m, ok := st.eng.(mutableEngine)
+	if !ok {
 		return CompactResult{}, errors.New("ssam: CompactNow on an unmutated region")
 	}
-	return ms.compactOnce(), nil
+	return m.compact(), nil
 }
 
 // Upsert inserts vector v under id (replacing any existing row with
@@ -142,11 +207,11 @@ func (r *Region) Upsert(id int, v []float32) (uint64, error) {
 	if len(v) != r.dims {
 		return 0, fmt.Errorf("ssam: row dim %d, want %d", len(v), r.dims)
 	}
-	ms, err := r.migrate()
+	m, err := r.migrate()
 	if err != nil {
 		return 0, err
 	}
-	return ms.f.Upsert(id, v)
+	return m.upsert(id, v)
 }
 
 // UpsertBinary is Upsert for Hamming regions.
@@ -157,45 +222,42 @@ func (r *Region) UpsertBinary(id int, c BinaryCode) (uint64, error) {
 	if c.Dim != r.dims {
 		return 0, fmt.Errorf("ssam: code width %d, want %d", c.Dim, r.dims)
 	}
-	ms, err := r.migrate()
+	m, err := r.migrate()
 	if err != nil {
 		return 0, err
 	}
-	return ms.b.Upsert(id, c)
+	return m.upsert(id, c)
 }
 
 // Delete tombstones the row with the given id, reporting whether it was
 // present; a miss does not commit a sequence number. Like Upsert, the
 // first write migrates a Linear region to the mutable store.
 func (r *Region) Delete(id int) (seq uint64, ok bool, err error) {
-	ms, err := r.migrate()
+	m, err := r.migrate()
 	if err != nil {
 		return 0, false, err
 	}
-	if ms.b != nil {
-		seq, ok = ms.b.Delete(id)
-	} else {
-		seq, ok = ms.f.Delete(id)
-	}
+	seq, ok = m.del(id)
 	return seq, ok, nil
 }
 
 // migrate returns the region's mutable store, performing the one-time
 // engine-to-store migration on first use. Concurrent first writes are
-// serialized by mutMu; searches never take that lock — they observe the
-// migration through the atomic pointer, and because the store is seeded
-// with exactly the engine's rows under ids equal to row indices, a
-// query racing the flip returns bit-identical results either way.
-func (r *Region) migrate() (*regionStore, error) {
-	if ms := r.mut.Load(); ms != nil {
-		return ms, nil
+// serialized by r.mu; searches never take that lock — they observe the
+// migration through the published engine, and because the store is
+// seeded with exactly the engine's rows, a query racing the flip
+// returns bit-identical results either way.
+func (r *Region) migrate() (mutableEngine, error) {
+	if m := r.mutable(); m != nil {
+		return m, nil
 	}
-	r.mutMu.Lock()
-	defer r.mutMu.Unlock()
-	if ms := r.mut.Load(); ms != nil {
-		return ms, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cur := r.cur.Load()
+	if m, ok := cur.eng.(mutableEngine); ok {
+		return m, nil
 	}
-	if r.freed {
+	if cur.freed {
 		return nil, ErrFreed
 	}
 	if r.cfg.Mode != Linear {
@@ -207,138 +269,30 @@ func (r *Region) migrate() (*regionStore, error) {
 		// (see ROADMAP follow-ups).
 		return nil, fmt.Errorf("%w: storage-backed region", ErrImmutableEngine)
 	}
-	if !r.built {
+	if cur.eng == nil {
 		return nil, errors.New("ssam: mutation before BuildIndex")
 	}
+	// A Device region keeps its module: the store's searches are priced
+	// on it, and LastStats carries on across the migration.
+	var dev *devState
+	if d, ok := cur.eng.(*devEngine); ok {
+		dev = d.devState
+	}
 	opts := mutate.Options{Vaults: r.cfg.Vaults}
-	ms := &regionStore{}
+	var m mutableEngine
+	var err error
 	if r.cfg.Metric == Hamming {
-		ms.b = mutate.NewBinary(r.dims, opts)
-		n := len(r.codes)
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		if err := ms.b.Seed(ids, r.codes); err != nil {
-			return nil, err
-		}
-		ms.b.OnCompact = r.onCompact
-		ms.b.StartCompactor(DefaultCompactInterval)
+		m, err = newMutEngine(mutate.NewBinary(r.dims, opts), r.codes, r.onCompact, dev, r.cfg.Workers)
 	} else {
-		ms.f = mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), opts)
-		n := len(r.data) / r.dims
-		ids := make([]int, n)
-		rows := make([][]float32, n)
-		for i := range ids {
-			ids[i] = i
+		rows := make([][]float32, len(r.data)/r.dims)
+		for i := range rows {
 			rows[i] = r.data[i*r.dims : (i+1)*r.dims]
 		}
-		if err := ms.f.Seed(ids, rows); err != nil {
-			return nil, err
-		}
-		ms.f.OnCompact = r.onCompact
-		ms.f.StartCompactor(DefaultCompactInterval)
+		m, err = newMutEngine(mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), opts), rows, r.onCompact, dev, r.cfg.Workers)
 	}
-	r.mut.Store(ms)
-	return ms, nil
-}
-
-// dropStore closes and detaches the mutable store (dataset reload and
-// Free): the region reverts to pure load-then-search state.
-func (r *Region) dropStore() {
-	r.mutMu.Lock()
-	defer r.mutMu.Unlock()
-	if ms := r.mut.Load(); ms != nil {
-		ms.close()
-		r.mut.Store(nil)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// searchMutable answers a float query from the mutable store. For
-// Device execution the store computes the results (the cycle simulator
-// scans a frozen layout) and the device prices the scan analytically —
-// same result bits, modeled cost.
-func (r *Region) searchMutable(ms *regionStore, q []float32, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "vaults", Value: ms.f.Vaults()})
-	res, st := ms.f.SearchStatsSpan(q, k, esp)
-	if esp != nil {
-		esp.SetTag("seq", st.Seq)
-		esp.SetTag("live_rows", st.DistEvals)
-	}
-	esp.End()
-	if r.device != nil {
-		// st.DistEvals is exactly the live rows the device would scan.
-		dst := toDeviceStats(r.device.ApproxLinearStats(st.DistEvals))
-		r.mu.Lock()
-		r.lastStats = dst
-		r.mu.Unlock()
-		return res, dst, nil
-	}
-	return res, DeviceStats{}, nil
-}
-
-// searchMutableBinary is searchMutable for Hamming queries.
-func (r *Region) searchMutableBinary(ms *regionStore, q BinaryCode, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "vaults", Value: ms.b.Vaults()})
-	res, st := ms.b.SearchStatsSpan(q, k, esp)
-	if esp != nil {
-		esp.SetTag("seq", st.Seq)
-		esp.SetTag("live_rows", st.DistEvals)
-	}
-	esp.End()
-	if r.device != nil {
-		dst := toDeviceStats(r.device.ApproxLinearStats(st.DistEvals))
-		r.mu.Lock()
-		r.lastStats = dst
-		r.mu.Unlock()
-		return res, dst, nil
-	}
-	return res, DeviceStats{}, nil
-}
-
-// searchMutableBatch answers a float batch from the mutable store, all
-// queries against one snapshot generation.
-func (r *Region) searchMutableBatch(ms *regionStore, qs [][]float32, k int, sp *obs.Span) ([][]Result, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	live := ms.f.Len()
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "batch", Value: len(qs)},
-		obs.Tag{Key: "vaults", Value: ms.f.Vaults()})
-	out := ms.f.SearchBatch(qs, k, r.cfg.Workers, esp)
-	esp.End()
-	if r.device != nil {
-		per := r.device.ApproxLinearStats(live)
-		var agg DeviceStats
-		for range qs {
-			agg.Cycles += per.Cycles
-			agg.Seconds += per.Seconds
-			agg.Instructions += per.Instructions
-			agg.VectorInstructions += per.VectorInsts
-			agg.DRAMBytesRead += per.DRAMBytesRead
-			agg.ProcessingUnits = per.PUs
-		}
-		r.mu.Lock()
-		r.lastStats = agg
-		r.mu.Unlock()
-	}
-	return out, nil
+	r.publish(&state{eng: m, rows: cur.rows})
+	return m, nil
 }

@@ -3,19 +3,14 @@ package ssam
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ssam/internal/graph"
-	"ssam/internal/kdtree"
-	"ssam/internal/kmeans"
 	"ssam/internal/knn"
-	"ssam/internal/lsh"
 	"ssam/internal/obs"
 	"ssam/internal/ssamdev"
 	"ssam/internal/tier"
-	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
 
@@ -37,69 +32,64 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// Region is an SSAM-enabled memory region (the nbuf of Fig. 4). It is
-// not safe for concurrent mutation (Load/BuildIndex/Free), and the
-// staged WriteQuery/Exec/ReadResult sequence assumes one caller; but
-// concurrent Search, SearchBinary and SearchBatch calls are safe once
-// the index is built — Host execution queries read-only index
-// structures lock-free, and Device execution serializes on the
+// Region is an SSAM-enabled memory region (the nbuf of Fig. 4).
+//
+// Concurrency: Search, SearchStats, SearchBinary and SearchBatch (and
+// their Span forms) are safe from many goroutines, and stay safe while
+// another goroutine calls SetChecks, LoadFloat32/LoadBinary, BuildIndex
+// or Free. Each query loads the region's published engine once and runs
+// to the end against it, so it answers from the dataset and knob value
+// of one moment: the engine it started on, or — if that engine was
+// retired underneath it — a typed error (ErrFreed, the "before
+// BuildIndex" error after a reload, tier.ErrClosed for a storage-backed
+// scan). Upsert, Delete and CompactNow are safe alongside searches too.
+// Loading, building and freeing are meant for one caller at a time:
+// they serialize on an internal lock, but interleaving them from several
+// goroutines leaves which dataset ends up built to chance. The staged
+// WriteQuery/Exec/ReadResult sequence keeps per-region query state and
+// assumes one caller. Device execution serializes queries on the
 // simulated module internally.
 type Region struct {
 	cfg  Config
 	dims int
 
-	// mu serializes device execution (the cycle simulator is stateful)
-	// and guards lastStats, which Search updates concurrently.
-	mu sync.Mutex
+	// cur is the published serving state. Every Search* call loads it
+	// once; LoadFloat32/LoadBinary, BuildIndex, a first write's
+	// migration and Free each build the next state completely and then
+	// swap it in.
+	cur atomic.Pointer[state]
 
-	data   []float32    // float datasets
-	codes  []vec.Binary // Hamming datasets
-	loaded bool
-	built  bool
-	freed  bool
-
-	// Host engines/indexes (built lazily by BuildIndex).
-	linear   *knn.Engine
-	hamming  *knn.HammingEngine
-	forest   *kdtree.Forest
-	kmTree   *kmeans.Tree
-	mplsh    *lsh.Index
-	graphIdx *graph.Index
-	pqEng    *knn.PQEngine
-
-	// Out-of-core serving (cfg.Storage != nil): store is the backing
-	// file's page cache, tiered/tieredPQ the engines scanning through
-	// it. After BuildIndex the full-precision rows live only in the
-	// store — r.data is released.
-	store    *tier.Store
-	tiered   *knn.TieredEngine
-	tieredPQ *knn.TieredPQEngine
-
-	// Simulated device (Device execution) and its on-device indexes.
-	device    *ssamdev.Device
-	devTree   *ssamdev.TreeIndex
-	devKMTree *ssamdev.KMTreeIndex
-	devLSH    *ssamdev.LSHIndex
-	devGraph  *ssamdev.GraphIndex
-	devPQ     *ssamdev.PQIndex
-	devChecks int // per-PU scan budget for device tree indexes
-
-	lastStats DeviceStats
-	query     []float32
-	queryBin  vec.Binary
-	lastRes   []Result
+	// mu serializes the writers of cur and guards the fields below it.
+	mu        sync.Mutex
+	data      []float32    // float datasets (released once storage-backed)
+	codes     []vec.Binary // Hamming datasets
+	store     *tier.Store  // last storage-backed build's store, owned by its engine (fault-injection seam)
+	onCompact func(CompactResult)
 
 	// batchFault, when non-nil, runs before each device-mode batch
 	// query (test seam for mid-batch failure injection).
 	batchFault func(i int) error
 
-	// Mutable write path (mutable.go): mut is nil until the first
-	// Upsert/Delete migrates a Linear region to the RCU store. Searches
-	// read it lock-free; mutMu serializes migration, SetCompactHook, and
-	// store teardown.
-	mut       atomic.Pointer[regionStore]
-	mutMu     sync.Mutex
-	onCompact func(CompactResult)
+	// Staged Fig. 4 query state (one caller).
+	query    []float32
+	queryBin vec.Binary
+	lastRes  []Result
+}
+
+// state is one published generation of a region's serving state.
+type state struct {
+	eng   engine // nil until BuildIndex, and again after a reload
+	rows  int    // rows loaded (0 before the first load)
+	freed bool
+}
+
+// publish swaps in the next serving state and releases the engine it
+// retires. Queries already running on that engine finish on it, or fail
+// with tier.ErrClosed if it owned a store. Called with r.mu held.
+func (r *Region) publish(next *state) {
+	if prev := r.cur.Swap(next); prev.eng != nil && prev.eng != next.eng {
+		prev.eng.close()
+	}
 }
 
 // New allocates an SSAM-enabled region for vectors of the given
@@ -158,7 +148,9 @@ func New(dims int, cfg Config) (*Region, error) {
 			return nil, errors.New("ssam: storage path required for Host execution")
 		}
 	}
-	return &Region{cfg: cfg, dims: dims}, nil
+	r := &Region{cfg: cfg, dims: dims}
+	r.cur.Store(&state{})
+	return r, nil
 }
 
 // Dims returns the region's vector dimensionality (bits for Hamming).
@@ -167,22 +159,19 @@ func (r *Region) Dims() int { return r.dims }
 // Len returns the number of loaded vectors — live rows once the region
 // has migrated to the mutable store.
 func (r *Region) Len() int {
-	if ms := r.mutable(); ms != nil {
-		return ms.len()
+	st := r.cur.Load()
+	if m, ok := st.eng.(mutableEngine); ok {
+		return m.len()
 	}
-	if r.codes != nil {
-		return len(r.codes)
-	}
-	if r.data == nil && r.store != nil {
-		return r.store.Rows()
-	}
-	return len(r.data) / r.dims
+	return st.rows
 }
 
 // LoadFloat32 copies a flattened row-major dataset into the region
 // (nmemcpy). Not valid for Hamming regions.
 func (r *Region) LoadFloat32(data []float32) error {
-	if r.freed {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cur.Load().freed {
 		return ErrFreed
 	}
 	if r.cfg.Metric == Hamming {
@@ -192,17 +181,18 @@ func (r *Region) LoadFloat32(data []float32) error {
 		return fmt.Errorf("ssam: data length %d not a positive multiple of dims %d", len(data), r.dims)
 	}
 	r.data = append([]float32(nil), data...)
-	r.loaded, r.built = true, false
-	// A reload replaces the logical dataset wholesale: any mutable store
-	// from a previous generation is stale, so drop it (mutation history
+	// A reload replaces the logical dataset wholesale: the built engine,
+	// a mutable store included, is stale, so retire it (mutation history
 	// restarts at seq 0 after the next write).
-	r.dropStore()
+	r.publish(&state{rows: len(data) / r.dims})
 	return nil
 }
 
 // LoadBinary copies bit-packed codes into a Hamming region.
 func (r *Region) LoadBinary(codes []BinaryCode) error {
-	if r.freed {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cur.Load().freed {
 		return ErrFreed
 	}
 	if r.cfg.Metric != Hamming {
@@ -217,8 +207,7 @@ func (r *Region) LoadBinary(codes []BinaryCode) error {
 		}
 	}
 	r.codes = append([]BinaryCode(nil), codes...)
-	r.loaded, r.built = true, false
-	r.dropStore() // see LoadFloat32
+	r.publish(&state{rows: len(codes)}) // see LoadFloat32
 	return nil
 }
 
@@ -228,246 +217,54 @@ func NewBinaryCode(bits int) BinaryCode { return vec.NewBinary(bits) }
 
 // BuildIndex constructs the region's search structures
 // (nbuild_index). For Device execution it lays the dataset out across
-// the simulated module's vaults and assembles the kernels.
+// the simulated module's vaults and assembles the kernels. The new
+// engine is built completely before it replaces the old one, so
+// concurrent searches see either engine, never a partial one.
 func (r *Region) BuildIndex() error {
-	if r.freed {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cur := r.cur.Load()
+	if cur.freed {
 		return ErrFreed
 	}
-	if !r.loaded {
+	if cur.rows == 0 {
 		return errors.New("ssam: BuildIndex before load")
 	}
-	workers := r.cfg.Workers
-	ip := r.cfg.Index
-
-	if r.cfg.Execution == Device {
-		devCfg := ssamdev.DefaultConfig(r.cfg.VectorLength)
-		var err error
-		if r.cfg.Metric == Hamming {
-			r.device, err = ssamdev.NewBinary(devCfg, r.codes)
-		} else {
-			r.device, err = ssamdev.NewFloat(devCfg, r.data, r.dims, r.cfg.Metric.toVec())
-		}
-		if err != nil {
-			return err
-		}
-		if r.cfg.Storage != nil {
-			// The device serves the dataset from modeled flash behind its
-			// vault DRAM: the analytic storage tier prices cold reads with
-			// the ann_in_ssd channel/latency/bandwidth parameters while the
-			// budget sets the device-side cache fraction.
-			scfg := ssamdev.DefaultStorageConfig()
-			scfg.BudgetBytes = r.cfg.Storage.BudgetBytes
-			scfg.Prefetch = r.cfg.Storage.Prefetch
-			if err := r.device.AttachStorage(scfg); err != nil {
-				return err
-			}
-		}
-		leaf := ip.LeafSize
-		if leaf <= 0 {
-			leaf = 8
-		}
-		r.devChecks = ip.Checks
-		if r.devChecks <= 0 {
-			r.devChecks = 32
-		}
-		switch r.cfg.Mode {
-		case Linear:
-		case KDTree:
-			r.devTree, err = r.device.BuildKDTreeIndex(leaf)
-		case KMeans:
-			branching := ip.Branching
-			if branching <= 0 {
-				branching = 4
-			}
-			r.devKMTree, err = r.device.BuildKMTreeIndex(branching, leaf, ip.Seed+1)
-		case MPLSH:
-			bits := ip.Bits
-			if bits <= 0 || bits > 12 {
-				bits = 6
-			}
-			tables := ip.Tables
-			if tables <= 0 {
-				tables = 4
-			}
-			r.devLSH, err = r.device.BuildLSHIndex(tables, bits, ip.Seed+1)
-			if err == nil && ip.Probes > 1 {
-				r.devLSH.MultiProbe = true
-			}
-		case Graph:
-			// The graph is built on the host and attached: construction is
-			// identical for both execution targets, so one build (and one
-			// seed) yields the same adjacency — and therefore the same
-			// neighbors — on Host and Device. The device contributes the
-			// NDSEARCH-style execution model.
-			r.graphIdx = graph.Build(r.data, r.dims, ip.graphParams())
-			r.devGraph, err = r.device.AttachGraphIndex(r.graphIdx)
-		case Quantized:
-			// Like Graph, the codebook is trained on the host and attached,
-			// so Host and Device answer bit-identically; the device model
-			// prices the §IV bandwidth story — ADC tables resident in each
-			// vault's scratchpad, code bytes streamed from vault DRAM.
-			r.pqEng, err = knn.NewPQEngineVaults(r.data, r.dims, r.cfg.Metric.toVec(), ip.pqParams(), workers, r.cfg.Vaults)
-			if err == nil {
-				r.devPQ, err = r.device.AttachPQIndex(r.pqEng)
-			}
-		default:
-			err = fmt.Errorf("ssam: unknown mode %v", r.cfg.Mode)
-		}
-		if err != nil {
-			return err
-		}
-		r.built = true
+	if _, ok := cur.eng.(mutableEngine); ok {
+		// The region has taken writes: the mutable store is the dataset
+		// now, and keeps serving.
 		return nil
 	}
-
-	switch r.cfg.Mode {
-	case Linear:
-		if r.cfg.Metric == Hamming {
-			r.hamming = knn.NewHammingEngine(r.codes, r.cfg.Vaults)
-		} else if r.cfg.Storage != nil {
-			if err := r.buildStore(); err != nil {
-				return err
-			}
-			r.tiered = knn.NewTieredEngine(r.store, r.cfg.Metric.toVec())
-			r.data = nil // rows live in the backing file now
-		} else {
-			r.linear = knn.NewEngineVaults(r.data, r.dims, r.cfg.Metric.toVec(), workers, r.cfg.Vaults)
-		}
-	case KDTree:
-		p := kdtree.DefaultParams()
-		if ip.Trees > 0 {
-			p.NumTrees = ip.Trees
-		}
-		if ip.LeafSize > 0 {
-			p.LeafSize = ip.LeafSize
-		}
-		if ip.Seed != 0 {
-			p.Seed = ip.Seed
-		}
-		r.forest = kdtree.Build(r.data, r.dims, p)
-		if ip.Checks > 0 {
-			r.forest.Checks = ip.Checks
-		}
-	case KMeans:
-		p := kmeans.DefaultParams()
-		if ip.Branching > 0 {
-			p.Branching = ip.Branching
-		}
-		if ip.LeafSize > 0 {
-			p.LeafSize = ip.LeafSize
-		}
-		if ip.Seed != 0 {
-			p.Seed = ip.Seed
-		}
-		r.kmTree = kmeans.Build(r.data, r.dims, p)
-		if ip.Checks > 0 {
-			r.kmTree.Checks = ip.Checks
-		}
-	case MPLSH:
-		p := lsh.DefaultParams()
-		if ip.Tables > 0 {
-			p.Tables = ip.Tables
-		}
-		if ip.Bits > 0 {
-			p.Bits = ip.Bits
-		}
-		if ip.Seed != 0 {
-			p.Seed = ip.Seed
-		}
-		r.mplsh = lsh.Build(r.data, r.dims, p)
-		if ip.Probes > 0 {
-			r.mplsh.Probes = ip.Probes
-		}
-	case Graph:
-		r.graphIdx = graph.Build(r.data, r.dims, ip.graphParams())
-	case Quantized:
-		var err error
-		if r.cfg.Storage != nil {
-			// Codebook training needs the float rows, so a rebuild after
-			// they moved out of core requires a reload first.
-			if r.data == nil {
-				return errors.New("ssam: rebuilding a storage-backed quantized region requires a reload")
-			}
-			if err := r.buildStore(); err != nil {
-				return err
-			}
-			r.tieredPQ, err = knn.NewTieredPQEngine(r.data, r.dims, r.cfg.Metric.toVec(), ip.pqParams(), workers, r.cfg.Vaults, r.store)
-			if err != nil {
-				return err
-			}
-			r.data = nil // codes stay resident; full-precision rows do not
-		} else {
-			r.pqEng, err = knn.NewPQEngineVaults(r.data, r.dims, r.cfg.Metric.toVec(), ip.pqParams(), workers, r.cfg.Vaults)
-			if err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("ssam: unknown mode %v", r.cfg.Mode)
-	}
-	r.built = true
-	return nil
-}
-
-// buildStore writes the backing file from the loaded rows and opens
-// its budgeted page cache. A rebuild with the rows already released
-// (r.data == nil) reuses the existing store: the file is the dataset.
-func (r *Region) buildStore() error {
-	if r.store != nil {
-		if r.data == nil {
-			return nil
-		}
-		// A reload preceded this rebuild: the file is stale, rewrite it.
-		r.store.Close()
-		r.store, r.tiered, r.tieredPQ = nil, nil, nil
-	}
-	st, err := tier.Create(r.cfg.Storage.Path, r.data, r.dims, knn.ResolveVaults(r.cfg.Vaults), tier.Options{
-		BudgetBytes: r.cfg.Storage.BudgetBytes,
-		Prefetch:    r.cfg.Storage.Prefetch,
-	})
+	e, err := r.build(cur.eng)
 	if err != nil {
 		return err
 	}
-	r.store = st
+	r.publish(&state{eng: e, rows: cur.rows})
 	return nil
 }
 
 // SetChecks adjusts the accuracy/throughput knob of a built index
 // without rebuilding: Checks for tree indexes, Probes for MPLSH, the
 // efSearch beam width for Graph regions, and the exact re-rank depth
-// for Quantized regions (all on both execution targets).
+// for Quantized regions (all on both execution targets). Safe under
+// live traffic: each query uses the value current when it started.
 func (r *Region) SetChecks(n int) error {
-	if r.freed {
+	st := r.cur.Load()
+	if st.freed {
 		return ErrFreed
 	}
 	if n <= 0 {
 		return fmt.Errorf("ssam: checks must be positive")
 	}
-	switch {
-	case r.forest != nil:
-		r.forest.Checks = n
-	case r.kmTree != nil:
-		r.kmTree.Checks = n
-	case r.mplsh != nil:
-		r.mplsh.Probes = n
-	case r.graphIdx != nil:
-		r.graphIdx.EfSearch = n
-	case r.pqEng != nil:
-		// Host and Device share the engine, so one retarget covers both.
-		r.pqEng.SetRerank(n)
-	case r.tieredPQ != nil:
-		r.tieredPQ.SetRerank(n)
-	case r.devTree != nil || r.devKMTree != nil:
-		r.devChecks = n
-	default:
+	if st.eng == nil {
 		return errors.New("ssam: SetChecks on a non-indexed region")
 	}
-	return nil
+	return st.eng.setKnob(n)
 }
 
 // WriteQuery stages a float query (nwrite_query).
 func (r *Region) WriteQuery(q []float32) error {
-	if r.freed {
+	if r.cur.Load().freed {
 		return ErrFreed
 	}
 	if r.cfg.Metric == Hamming {
@@ -482,7 +279,7 @@ func (r *Region) WriteQuery(q []float32) error {
 
 // WriteQueryBinary stages a Hamming query.
 func (r *Region) WriteQueryBinary(q BinaryCode) error {
-	if r.freed {
+	if r.cur.Load().freed {
 		return ErrFreed
 	}
 	if r.cfg.Metric != Hamming {
@@ -497,95 +294,39 @@ func (r *Region) WriteQueryBinary(q BinaryCode) error {
 
 // Exec runs the staged query for the k nearest neighbors (nexec).
 func (r *Region) Exec(k int) error {
-	if r.freed {
+	st := r.cur.Load()
+	if st.freed {
 		return ErrFreed
 	}
-	if !r.built {
+	if st.eng == nil {
 		return errors.New("ssam: Exec before BuildIndex")
 	}
 	if k <= 0 {
 		return fmt.Errorf("ssam: k must be positive")
 	}
-	if r.cfg.Metric == Hamming && r.queryBin.Words == nil {
-		return errors.New("ssam: Exec before WriteQueryBinary")
-	}
-	if r.cfg.Metric != Hamming && r.query == nil {
-		return errors.New("ssam: Exec before WriteQuery")
-	}
-
-	if ms := r.mutable(); ms != nil {
-		var res []Result
-		var st DeviceStats
-		var err error
-		if r.cfg.Metric == Hamming {
-			res, st, err = r.searchMutableBinary(ms, r.queryBin, k, nil)
-		} else {
-			res, st, err = r.searchMutable(ms, r.query, k, nil)
+	var res []Result
+	var err error
+	if r.cfg.Metric == Hamming {
+		if r.queryBin.Words == nil {
+			return errors.New("ssam: Exec before WriteQueryBinary")
 		}
-		if err != nil {
-			return err
+		res, _, err = r.SearchBinaryStatsSpan(r.queryBin, k, nil)
+	} else {
+		if r.query == nil {
+			return errors.New("ssam: Exec before WriteQuery")
 		}
-		r.lastRes = res
-		r.mu.Lock()
-		r.lastStats = st
-		r.mu.Unlock()
-		return nil
+		res, _, err = r.SearchStatsSpan(r.query, k, nil)
 	}
-
-	if r.device != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		var res []topk.Result
-		var st ssamdev.QueryStats
-		var err error
-		if r.cfg.Metric == Hamming {
-			res, st, err = r.device.SearchBinary(r.queryBin, k)
-		} else {
-			res, st, err = r.deviceSearchRaw(r.query, k)
-		}
-		if err != nil {
-			return err
-		}
-		r.lastRes = res
-		r.lastStats = toDeviceStats(st)
-		return nil
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case r.hamming != nil:
-		r.lastRes = r.hamming.Search(r.queryBin, k)
-	case r.tiered != nil || r.tieredPQ != nil:
-		// Tiered engines can fail (backing reads), so Exec routes
-		// through the error-returning search path.
-		res, _, err := r.SearchStats(r.query, k)
-		if err != nil {
-			return err
-		}
-		r.lastRes = res
-	case r.linear != nil:
-		r.lastRes = r.linear.Search(r.query, k)
-	case r.forest != nil:
-		r.lastRes = r.forest.Search(r.query, k)
-	case r.kmTree != nil:
-		r.lastRes = r.kmTree.Search(r.query, k)
-	case r.mplsh != nil:
-		r.lastRes = r.mplsh.Search(r.query, k)
-	case r.graphIdx != nil:
-		r.lastRes = r.graphIdx.Search(r.query, k)
-	case r.pqEng != nil:
-		r.lastRes = r.pqEng.Search(r.query, k)
-	default:
-		return errors.New("ssam: no engine built")
-	}
-	r.mu.Lock()
-	r.lastStats = DeviceStats{}
-	r.mu.Unlock()
+	r.lastRes = res
 	return nil
 }
 
 // ReadResult returns the last Exec's neighbors (nread_result).
 func (r *Region) ReadResult() ([]Result, error) {
-	if r.freed {
+	if r.cur.Load().freed {
 		return nil, ErrFreed
 	}
 	if r.lastRes == nil {
@@ -598,9 +339,9 @@ func (r *Region) ReadResult() ([]Result, error) {
 
 // Search answers one query for the k nearest neighbors. Unlike the
 // staged WriteQuery/Exec/ReadResult sequence it keeps no per-region
-// query state, so it is safe to call from many goroutines once the
-// index is built; Device execution serializes on the simulated module
-// and updates LastStats per query.
+// query state, so it is safe to call from many goroutines; Device
+// execution serializes on the simulated module and updates LastStats
+// per query.
 func (r *Region) Search(q []float32, k int) ([]Result, error) {
 	res, _, err := r.SearchStats(q, k)
 	return res, err
@@ -620,131 +361,20 @@ func (r *Region) SearchStats(q []float32, k int) ([]Result, DeviceStats, error) 
 // untraced fast path — every obs hook degrades to a nil check, so
 // callers without a sampled trace pay nothing measurable.
 func (r *Region) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	if r.freed {
+	st := r.cur.Load()
+	switch {
+	case st.freed:
 		return nil, DeviceStats{}, ErrFreed
-	}
-	if r.cfg.Metric == Hamming {
+	case r.cfg.Metric == Hamming:
 		return nil, DeviceStats{}, errors.New("ssam: float query on a Hamming region")
-	}
-	if len(q) != r.dims {
+	case len(q) != r.dims:
 		return nil, DeviceStats{}, fmt.Errorf("ssam: query dim %d, want %d", len(q), r.dims)
-	}
-	if !r.built {
+	case st.eng == nil:
 		return nil, DeviceStats{}, errors.New("ssam: Search before BuildIndex")
-	}
-	if k <= 0 {
+	case k <= 0:
 		return nil, DeviceStats{}, fmt.Errorf("ssam: k must be positive")
 	}
-	if ms := r.mutable(); ms != nil {
-		// The region has taken writes: serve from the RCU store, which
-		// answers bit-identically to the engine on the same logical
-		// content (Device execution prices the scan analytically).
-		return r.searchMutable(ms, q, k, sp)
-	}
-	if r.device != nil {
-		// The exec span includes the module lock wait: on the simulated
-		// device concurrent queries serialize, and that queueing is
-		// exactly what a trace should show.
-		esp := sp.Start("exec", obs.Tag{Key: "execution", Value: "device"})
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		res, st, err := r.deviceSearchRaw(q, k)
-		esp.End()
-		if err != nil {
-			return nil, DeviceStats{}, err
-		}
-		r.lastStats = toDeviceStats(st)
-		return res, r.lastStats, nil
-	}
-	if r.tiered != nil {
-		// The tiered engine scans vault pages through the storage cache;
-		// each page shows up as a "vault" child tagged tier_hit, so a
-		// sampled trace distinguishes cached from cold scans.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: "tiered"},
-			obs.Tag{Key: "vaults", Value: r.tiered.Vaults()})
-		res, _, err := r.tiered.SearchStatsSpan(q, k, esp)
-		esp.End()
-		if err != nil {
-			return nil, DeviceStats{}, err
-		}
-		return res, DeviceStats{}, nil
-	}
-	if r.tieredPQ != nil {
-		// ADC scans the resident codes; only the exact re-rank touches
-		// the storage cache, grouped by vault page.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: "tiered-quantized"},
-			obs.Tag{Key: "m", Value: r.tieredPQ.M()},
-			obs.Tag{Key: "rerank", Value: r.tieredPQ.Rerank()},
-			obs.Tag{Key: "vaults", Value: r.tieredPQ.Vaults()})
-		res, st, err := r.tieredPQ.SearchStatsSpan(q, k, esp)
-		if esp != nil && err == nil {
-			esp.SetTag("code_evals", st.CodeEvals)
-			esp.SetTag("rerank_evals", st.DistEvals)
-		}
-		esp.End()
-		if err != nil {
-			return nil, DeviceStats{}, err
-		}
-		return res, DeviceStats{}, nil
-	}
-	if r.linear != nil {
-		// The linear engine is vault-parallel: hand it the exec span so
-		// each scanned slice shows up as a "vault" child and /tracez
-		// exposes per-vault skew.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "vaults", Value: r.linear.Vaults()})
-		res, _ := r.linear.SearchStatsSpan(q, k, esp)
-		esp.End()
-		return res, DeviceStats{}, nil
-	}
-	if r.graphIdx != nil {
-		// Hand the graph engine the exec span so the traversal shows up
-		// as "descend" (upper-layer hops) and "base" (layer-0 beam)
-		// children, each tagged with its hop and distance-eval counts.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: "graph"},
-			obs.Tag{Key: "ef", Value: r.graphIdx.EfSearch})
-		res, st := r.graphIdx.SearchStatsSpan(q, k, esp)
-		if esp != nil {
-			kst := st.KNN()
-			esp.SetTag("dist_evals", kst.DistEvals)
-			esp.SetTag("dims", kst.Dims)
-		}
-		esp.End()
-		return res, DeviceStats{}, nil
-	}
-	if r.pqEng != nil {
-		// The quantized engine is vault-parallel like the linear one;
-		// hand it the exec span so scanned slabs appear as "vault"
-		// children, and tag the ADC work the scan did.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: "quantized"},
-			obs.Tag{Key: "m", Value: r.pqEng.M()},
-			obs.Tag{Key: "rerank", Value: r.pqEng.Rerank()},
-			obs.Tag{Key: "vaults", Value: r.pqEng.Vaults()})
-		res, st := r.pqEng.SearchStatsSpan(q, k, esp)
-		if esp != nil {
-			esp.SetTag("code_evals", st.CodeEvals)
-			esp.SetTag("rerank_evals", st.DistEvals)
-		}
-		esp.End()
-		return res, DeviceStats{}, nil
-	}
-	search := r.hostSearcher()
-	if search == nil {
-		return nil, DeviceStats{}, errors.New("ssam: no engine built")
-	}
-	esp := sp.Start("exec", obs.Tag{Key: "execution", Value: "host"})
-	res := search(q, k)
-	esp.End()
-	return res, DeviceStats{}, nil
+	return st.eng.search(q, k, sp)
 }
 
 // SearchBinary is Search for Hamming regions.
@@ -753,59 +383,26 @@ func (r *Region) SearchBinary(q BinaryCode, k int) ([]Result, error) {
 	return res, err
 }
 
-// SearchBinaryStats is SearchBinary returning the query's simulated
-// device stats alongside the results (zero DeviceStats for Host
-// execution), with the same atomicity guarantee as SearchStats.
-func (r *Region) SearchBinaryStats(q BinaryCode, k int) ([]Result, DeviceStats, error) {
-	return r.SearchBinaryStatsSpan(q, k, nil)
-}
-
-// SearchBinaryStatsSpan is SearchBinaryStats recording the engine
-// execution as an "exec" child of sp — the Hamming counterpart of
-// SearchStatsSpan, so binary queries appear in /tracez like float ones.
-// A nil span is the untraced fast path.
+// SearchBinaryStatsSpan is SearchBinary returning the query's simulated
+// device stats and recording the engine execution as an "exec" child of
+// sp — the Hamming counterpart of SearchStatsSpan, so binary queries
+// appear in /tracez like float ones. A nil span is the untraced fast
+// path.
 func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	if r.freed {
+	st := r.cur.Load()
+	switch {
+	case st.freed:
 		return nil, DeviceStats{}, ErrFreed
-	}
-	if r.cfg.Metric != Hamming {
+	case r.cfg.Metric != Hamming:
 		return nil, DeviceStats{}, errors.New("ssam: binary query on a non-Hamming region")
-	}
-	if q.Dim != r.dims {
+	case q.Dim != r.dims:
 		return nil, DeviceStats{}, fmt.Errorf("ssam: query width %d, want %d", q.Dim, r.dims)
-	}
-	if !r.built {
+	case st.eng == nil:
 		return nil, DeviceStats{}, errors.New("ssam: SearchBinary before BuildIndex")
-	}
-	if k <= 0 {
+	case k <= 0:
 		return nil, DeviceStats{}, fmt.Errorf("ssam: k must be positive")
 	}
-	if ms := r.mutable(); ms != nil {
-		return r.searchMutableBinary(ms, q, k, sp)
-	}
-	if r.device != nil {
-		// As in SearchStatsSpan, the exec span includes the module lock
-		// wait: concurrent queries serialize on the simulated device.
-		esp := sp.Start("exec", obs.Tag{Key: "execution", Value: "device"})
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		res, st, err := r.device.SearchBinary(q, k)
-		esp.End()
-		if err != nil {
-			return nil, DeviceStats{}, err
-		}
-		r.lastStats = toDeviceStats(st)
-		return res, r.lastStats, nil
-	}
-	if r.hamming == nil {
-		return nil, DeviceStats{}, errors.New("ssam: no engine built")
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: "host"},
-		obs.Tag{Key: "vaults", Value: r.hamming.Vaults()})
-	res, _ := r.hamming.SearchStatsSpan(q, k, esp)
-	esp.End()
-	return res, DeviceStats{}, nil
+	return st.eng.searchBinary(q, k, sp)
 }
 
 // SearchBatch answers one query per element of qs. Host execution
@@ -817,7 +414,8 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 // holds the accumulated execution. A mid-batch device failure is
 // returned as a *BatchError naming the failing query; results for
 // queries before it are kept in the returned slice and the stats they
-// accumulated are committed.
+// accumulated are committed. A mutated region answers the whole batch
+// against one snapshot generation.
 func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
 	return r.SearchBatchSpan(qs, k, nil)
 }
@@ -826,13 +424,13 @@ func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
 // "exec" child of sp, tagged with the execution mode and batch size.
 // A nil span is the untraced fast path.
 func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Result, error) {
-	if r.freed {
+	st := r.cur.Load()
+	switch {
+	case st.freed:
 		return nil, ErrFreed
-	}
-	if !r.built {
+	case st.eng == nil:
 		return nil, errors.New("ssam: SearchBatch before BuildIndex")
-	}
-	if k <= 0 {
+	case k <= 0:
 		return nil, fmt.Errorf("ssam: k must be positive")
 	}
 	for _, q := range qs {
@@ -840,203 +438,22 @@ func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Resul
 			return nil, fmt.Errorf("ssam: query dim %d, want %d", len(q), r.dims)
 		}
 	}
-	out := make([][]Result, len(qs))
-
-	if ms := r.mutable(); ms != nil && ms.f != nil {
-		// The mutable store answers the whole batch against one snapshot
-		// generation — batch-level consistency under concurrent writes.
-		return r.searchMutableBatch(ms, qs, k, sp)
-	}
-
-	if r.device != nil {
-		// As in SearchStatsSpan, the exec span includes the module lock
-		// wait: the simulated device serializes concurrent batches.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "device"},
-			obs.Tag{Key: "batch", Value: len(qs)})
-		defer esp.End()
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		var agg DeviceStats
-		for i, q := range qs {
-			var res []Result
-			var st ssamdev.QueryStats
-			err := error(nil)
-			if r.batchFault != nil {
-				err = r.batchFault(i)
-			}
-			if err == nil {
-				res, st, err = r.deviceSearch(q, k)
-			}
-			if err != nil {
-				// Keep what the batch computed so far: results for
-				// queries before i stand, and the stats they accumulated
-				// are committed rather than discarded.
-				r.lastStats = agg
-				return out, &BatchError{Index: i, Err: err}
-			}
-			out[i] = res
-			agg.Cycles += st.Cycles
-			agg.Seconds += st.Seconds
-			agg.Instructions += st.Instructions
-			agg.VectorInstructions += st.VectorInsts
-			agg.DRAMBytesRead += st.DRAMBytesRead
-			agg.ProcessingUnits = st.PUs
-			agg.StorageBytesRead += st.StorageBytesRead
-			agg.StorageCacheHits += st.StorageCacheHits
-			agg.StorageStalls += st.StorageStalls
-		}
-		r.lastStats = agg
-		return out, nil
-	}
-
-	if r.tiered != nil || r.tieredPQ != nil {
-		// Tiered engines serve batches sequentially — each query's scan
-		// already overlaps storage reads with compute, and a failed
-		// backing read aborts the batch as a *BatchError naming the
-		// query, keeping the results computed before it.
-		mode := "tiered"
-		vaults := 0
-		if r.tiered != nil {
-			vaults = r.tiered.Vaults()
-		} else {
-			mode = "tiered-quantized"
-			vaults = r.tieredPQ.Vaults()
-		}
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: mode},
-			obs.Tag{Key: "batch", Value: len(qs)},
-			obs.Tag{Key: "vaults", Value: vaults})
-		defer esp.End()
-		var failedAt int
-		var err error
-		if r.tiered != nil {
-			out, failedAt, err = r.tiered.SearchBatchSpan(qs, k, esp)
-		} else {
-			out, failedAt, err = r.tieredPQ.SearchBatchSpan(qs, k, esp)
-		}
-		if err != nil {
-			return out, &BatchError{Index: failedAt, Err: err}
-		}
-		return out, nil
-	}
-	if r.linear != nil {
-		// The linear engine owns the batch policy: short batches run
-		// queries in turn with vault-parallel scans, long ones fan out
-		// across workers with serial scans — either way, results match
-		// the serial path bit for bit.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "batch", Value: len(qs)},
-			obs.Tag{Key: "vaults", Value: r.linear.Vaults()})
-		defer esp.End()
-		return r.linear.SearchBatchSpan(qs, k, esp), nil
-	}
-	if r.pqEng != nil {
-		// Same batch policy as the linear engine: vault-parallel scans
-		// for short batches, cross-query fan-out for long ones.
-		esp := sp.Start("exec",
-			obs.Tag{Key: "execution", Value: "host"},
-			obs.Tag{Key: "mode", Value: "quantized"},
-			obs.Tag{Key: "batch", Value: len(qs)},
-			obs.Tag{Key: "vaults", Value: r.pqEng.Vaults()})
-		defer esp.End()
-		return r.pqEng.SearchBatchSpan(qs, k, esp), nil
-	}
-	search := r.hostSearcher()
-	if search == nil {
-		return nil, errors.New("ssam: no engine built")
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: "host"},
-		obs.Tag{Key: "batch", Value: len(qs)})
-	defer esp.End()
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = search(qs[i], k)
-			}
-		}()
-	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out, nil
-}
-
-// deviceSearchRaw dispatches a float query to the device's built
-// engine (linear scan or on-device index).
-func (r *Region) deviceSearchRaw(q []float32, k int) ([]topk.Result, ssamdev.QueryStats, error) {
-	switch {
-	case r.devTree != nil:
-		return r.devTree.Search(q, k, r.devChecks)
-	case r.devKMTree != nil:
-		return r.devKMTree.Search(q, k, r.devChecks)
-	case r.devLSH != nil:
-		return r.devLSH.Search(q, k)
-	case r.devGraph != nil:
-		return r.devGraph.Search(q, k)
-	case r.devPQ != nil:
-		return r.devPQ.Search(q, k)
-	default:
-		return r.device.Search(q, k)
-	}
-}
-
-// deviceSearch is deviceSearchRaw with stats converted for batching.
-func (r *Region) deviceSearch(q []float32, k int) ([]Result, ssamdev.QueryStats, error) {
-	res, st, err := r.deviceSearchRaw(q, k)
-	return res, st, err
-}
-
-func toDeviceStats(st ssamdev.QueryStats) DeviceStats {
-	return DeviceStats{
-		Cycles:             st.Cycles,
-		Seconds:            st.Seconds,
-		Instructions:       st.Instructions,
-		VectorInstructions: st.VectorInsts,
-		DRAMBytesRead:      st.DRAMBytesRead,
-		ProcessingUnits:    st.PUs,
-		StorageBytesRead:   st.StorageBytesRead,
-		StorageCacheHits:   st.StorageCacheHits,
-		StorageStalls:      st.StorageStalls,
-	}
-}
-
-// hostSearcher returns the built host engine's query function, or nil.
-func (r *Region) hostSearcher() func([]float32, int) []Result {
-	switch {
-	case r.linear != nil:
-		return r.linear.Search
-	case r.forest != nil:
-		return r.forest.Search
-	case r.kmTree != nil:
-		return r.kmTree.Search
-	case r.mplsh != nil:
-		return r.mplsh.Search
-	case r.graphIdx != nil:
-		return r.graphIdx.Search
-	case r.pqEng != nil:
-		return r.pqEng.Search
-	}
-	return nil
+	return st.eng.searchBatch(qs, k, sp)
 }
 
 // pqParams maps the region's index tuning onto quantized-engine
 // construction; zero values select the pq package defaults.
 func (ip IndexParams) pqParams() knn.PQParams {
 	return knn.PQParams{M: ip.M, Sample: ip.Sample, Rerank: ip.Rerank, Seed: ip.Seed}
+}
+
+// graphParams maps the region's index tuning onto graph construction;
+// zero values select the package defaults.
+func (ip IndexParams) graphParams() graph.Params {
+	p := graph.DefaultParams()
+	p.M, p.EfConstruction, p.EfSearch = orDefault(ip.M, p.M), orDefault(ip.EfConstruction, p.EfConstruction), orDefault(ip.EfSearch, p.EfSearch)
+	p.Seed = seedOr(ip.Seed, p.Seed)
+	return p
 }
 
 // QuantizedCounters is a point-in-time view of a quantized region's
@@ -1047,10 +464,10 @@ type QuantizedCounters = knn.PQCounters
 // counters (table builds, code evals, re-rank evals) and whether the
 // region has one. The counters back the server's /metrics series.
 func (r *Region) QuantizedStats() (QuantizedCounters, bool) {
-	if r.pqEng == nil {
-		return QuantizedCounters{}, false
+	if e, ok := r.cur.Load().eng.(pqCounted); ok {
+		return e.quantizedStats()
 	}
-	return r.pqEng.Counters(), true
+	return QuantizedCounters{}, false
 }
 
 // TieredCounters is a point-in-time view of a storage-backed region's
@@ -1059,57 +476,40 @@ type TieredCounters = tier.Counters
 
 // TieredStats returns the storage tier's cumulative counters (reads,
 // bytes read, cache hits/misses, evictions, prefetch hits, stalls,
-// residency) and whether the region is storage-backed. The counters
-// back the server's /metrics series.
+// residency) and whether the region is serving from storage. The
+// counters back the server's /metrics series.
 func (r *Region) TieredStats() (TieredCounters, bool) {
-	if r.store == nil {
-		return TieredCounters{}, false
+	if e, ok := r.cur.Load().eng.(tierCounted); ok {
+		return e.tieredStats(), true
 	}
-	return r.store.Counters(), true
-}
-
-// graphParams maps the region's index tuning onto graph construction;
-// zero values select the package defaults.
-func (ip IndexParams) graphParams() graph.Params {
-	p := graph.DefaultParams()
-	if ip.M > 0 {
-		p.M = ip.M
-	}
-	if ip.EfConstruction > 0 {
-		p.EfConstruction = ip.EfConstruction
-	}
-	if ip.EfSearch > 0 {
-		p.EfSearch = ip.EfSearch
-	}
-	if ip.Seed != 0 {
-		p.Seed = ip.Seed
-	}
-	return p
+	return TieredCounters{}, false
 }
 
 // LastStats returns the simulated device stats of the last Exec,
 // Search or SearchBatch (zero for Host execution).
 func (r *Region) LastStats() DeviceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastStats
+	if e, ok := r.cur.Load().eng.(statsRecorder); ok {
+		return e.lastStats()
+	}
+	return DeviceStats{}
 }
 
 // Device exposes the underlying simulated module (nil for Host
 // execution) for benchmarking and model queries.
-func (r *Region) Device() *ssamdev.Device { return r.device }
+func (r *Region) Device() *ssamdev.Device {
+	if e, ok := r.cur.Load().eng.(onDevice); ok {
+		return e.device()
+	}
+	return nil
+}
 
 // Free releases the region (nfree). Further operations return
-// ErrFreed.
+// ErrFreed; searches already running finish on the engine they
+// started on or fail with a typed error.
 func (r *Region) Free() {
-	r.freed = true
-	r.dropStore()
-	if r.store != nil {
-		r.store.Close()
-	}
-	r.store, r.tiered, r.tieredPQ = nil, nil, nil
-	r.data, r.codes = nil, nil
-	r.linear, r.hamming, r.forest, r.kmTree, r.mplsh, r.graphIdx, r.pqEng = nil, nil, nil, nil, nil, nil, nil
-	r.device, r.devTree, r.devKMTree, r.devLSH, r.devGraph, r.devPQ = nil, nil, nil, nil, nil, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.publish(&state{freed: true})
+	r.data, r.codes, r.store = nil, nil, nil
 	r.lastRes, r.query = nil, nil
 }
